@@ -7,10 +7,9 @@
 //  * the per-function pipeline at jobs 1/2/4/hw — parallel scaling
 //    (degenerate on a single-core host, where every parallel row is
 //    serial throughput plus scheduling overhead);
-//  * the allocator/analysis ablation at jobs=1 — heap nodes + full
-//    per-pass re-analysis (the recompute-the-world baseline), arena
-//    nodes + full re-analysis, and arena + incremental re-analysis
-//    (the default).
+//  * the analysis ablation at jobs=1 — full per-pass re-analysis (the
+//    recompute-the-world baseline) against incremental re-analysis (the
+//    default), both on arena-allocated nodes.
 //
 // The frontend runs once; every timed repetition deep-clones the
 // converted module outside the timer, so the numbers isolate the
@@ -21,7 +20,6 @@
 #include "BenchUtil.h"
 
 #include "fuzz/Generator.h"
-#include "support/Arena.h"
 
 #include <benchmark/benchmark.h>
 
@@ -192,39 +190,34 @@ int printTable() {
     }
   }
 
-  // Allocator × analysis ablation over the optimizer phase alone, jobs=1.
+  // Analysis ablation over the optimizer phase alone, jobs=1.
   printf("optimizer-phase ablation (meta-eval + CSE only):\n");
   struct AblRow {
     std::string Name;
-    bool HeapNodes;
     bool Incremental;
   };
   AblRow AblRows[] = {
-      {"heap_full_j1", true, false},
-      {"arena_full_j1", false, false},
-      {"arena_incr_j1", false, true},
+      {"arena_full_j1", false},
+      {"arena_incr_j1", true},
   };
-  double HeapFullNs = 0, ArenaIncrNs = 0;
+  double FullNs = 0, ArenaIncrNs = 0;
   for (const AblRow &R : AblRows) {
-    if (R.HeapNodes)
-      NodeArena::setBumpEnabled(false);
     double Ns = timeOptNs(R.Incremental);
-    if (R.HeapNodes)
-      NodeArena::setBumpEnabled(true);
     double PerSec = static_cast<double>(Forms) / (Ns / 1e9);
     printf("%-18s %6u %12.0f %14.1f\n", R.Name.c_str(), 1u, PerSec, Ns / 1e6);
     Report.add(R.Name + ".jobs", 1);
     Report.add(R.Name + ".forms_per_sec", static_cast<uint64_t>(PerSec));
     Report.add(R.Name + ".wall_ns", static_cast<uint64_t>(Ns));
-    if (R.Name == "heap_full_j1")
-      HeapFullNs = Ns;
-    if (R.Name == "arena_incr_j1")
+    if (R.Incremental)
       ArenaIncrNs = Ns;
+    else
+      FullNs = Ns;
   }
   if (ArenaIncrNs > 0) {
-    double Speedup = HeapFullNs / ArenaIncrNs;
-    printf("arena+incremental: %.2fx over heap+full at 1 job\n", Speedup);
-    Report.add("arena_incremental_speedup_x100",
+    double Speedup = FullNs / ArenaIncrNs;
+    printf("incremental analysis: %.2fx over full re-analysis at 1 job\n",
+           Speedup);
+    Report.add("incremental_speedup_x100",
                static_cast<uint64_t>(Speedup * 100));
   }
   Report.write();

@@ -3,7 +3,7 @@
 // Times the same compiled programs on all three dispatch engines: the
 // legacy per-step switch over s1::Instruction, the pre-decoded threaded
 // loop (fused operand handlers behind a computed goto where available),
-// and the native template JIT over the same XInsn stream. The engines
+// and the native block compiler over the same XInsn stream. The engines
 // must agree on every architectural counter — Instructions, Movs,
 // SpecialSearchSteps, the PerOpcode histogram — so the wall-clock deltas
 // are pure dispatch cost, not a semantic change. An extra timing row runs

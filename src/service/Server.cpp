@@ -76,8 +76,8 @@ compilerDeltas(const stats::LocalTally &T) {
   return Deltas;
 }
 
-/// Renders deltas in reportStats()'s text layout (value column, name,
-/// description), resolving descriptions from the live registry.
+/// Renders deltas with reportStats(), resolving descriptions from the live
+/// registry.
 std::string renderStatsText(const std::vector<stats::TallyDelta> &Deltas) {
   std::vector<stats::StatValue> Values;
   std::vector<stats::StatValue> Registry = stats::allStats(/*IncludeZeros=*/true);
@@ -93,21 +93,7 @@ std::string renderStatsText(const std::vector<stats::TallyDelta> &Deltas) {
       }
     Values.push_back({D.Name, Desc, V});
   }
-  size_t ValueWidth = 0, NameWidth = 0;
-  for (const stats::StatValue &V : Values) {
-    ValueWidth = std::max(ValueWidth, std::to_string(V.Value).size());
-    NameWidth = std::max(NameWidth, V.Name.size());
-  }
-  std::string Out;
-  Out += "===-------------------------------------------------------------===\n";
-  Out += "                        ... Statistics ...\n";
-  Out += "===-------------------------------------------------------------===\n";
-  for (const stats::StatValue &V : Values) {
-    std::string Num = std::to_string(V.Value);
-    Out += std::string(ValueWidth - Num.size(), ' ') + Num + " " + V.Name +
-           std::string(NameWidth - V.Name.size(), ' ') + " - " + V.Desc + "\n";
-  }
-  return Out;
+  return stats::reportStats(Values);
 }
 
 void fail(Message &Resp, std::string Error) {
@@ -293,13 +279,6 @@ void Server::handleCompile(const Message &Req, Message &Resp,
       }
     }
   }
-
-  // Every response field is a string by now, so nothing outside the
-  // module references its literal heap: collect it before serializing.
-  // Run garbage (values decoded out of the simulator) dies here; the
-  // CompileCache is unaffected — it memoizes content-addressed compiled
-  // units, not module heap data.
-  M.collectGarbage();
 
   if (!StatsMode.empty()) {
     std::vector<stats::TallyDelta> Deltas = compilerDeltas(T);

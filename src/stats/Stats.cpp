@@ -203,8 +203,9 @@ void stats::resetStats() {
     S->reset();
 }
 
-std::string stats::reportStats() {
-  std::vector<StatValue> Values = allStats();
+std::string stats::reportStats() { return reportStats(allStats()); }
+
+std::string stats::reportStats(const std::vector<StatValue> &Values) {
   size_t ValueWidth = 0, NameWidth = 0;
   for (const StatValue &V : Values) {
     ValueWidth = std::max(ValueWidth, formatUnsigned(V.Value).size());

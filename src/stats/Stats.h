@@ -207,6 +207,8 @@ std::string reportStatsDeltaJson(const StatsSnapshot &Base);
 
 /// The LLVM `-stats`-style text report.
 std::string reportStats();
+/// The same report over \p Values, in the given order.
+std::string reportStats(const std::vector<StatValue> &Values);
 
 /// The counters as one JSON object: {"opt.cse.hoisted": 3, ...}.
 std::string reportStatsJson(bool IncludeZeros = false);

@@ -3,25 +3,33 @@
 // Two-pass native tier. Pass 1 is Predecode's leader sweep: every decoded
 // index that starts a basic block (function entry, branch/catch target,
 // fall-through after any control transfer or allocation) is flagged in
-// DecodedFunction::Leaders. Pass 2 compiles each block into two bodies:
+// DecodedFunction::Leaders. Pass 2 compiles each block into one body:
 //
-//   [block entry]    one batched safepoint — the fuel check for the first
-//                    boundary, the pending-GC check, then a block-fit test
-//                    (r14 + N <= fuel limit) that bulk-retires all N
-//                    instructions up front and falls into the batched body;
-//   [batched body]   instruction templates with no per-instruction
-//                    safepoints; trap stubs subtract the not-yet-retired
-//                    tail (r14 -= adj) so every trap reports the exact
-//                    instruction count the threaded engine would;
-//   [unbatched body] the fallback lane taken when fewer than N
-//                    instructions of fuel remain: per-boundary fuel
-//                    checks, so exhaustion lands mid-block at precisely
-//                    the right instruction with the right counters.
+//   [block entry]  a fit test (r14 + N <= fuel limit) that bulk-retires
+//                  all N instructions up front, then the pending-GC check
+//                  when a schedule is set, then the bulk PerOpcode bump;
+//   [block body]   instruction templates with no per-instruction
+//                  safepoints; trap stubs subtract the not-yet-retired
+//                  tail (r14 -= adj) so every trap reports the exact
+//                  instruction count the threaded engine would.
 //
-// Pending GC is checked only at block entries: GcPending and Halted can
-// only be raised by allocation and syscalls, and Predecode makes the
-// successor of every such instruction a leader, so the check sits at the
-// same boundary where the threaded engine would perform the collection.
+// A block that does not fit in the remaining fuel is not run natively: a
+// handoff stub rolls the charge back and exits with JitStatus::Handoff at
+// the block's first pc, and Machine::runNative finishes the call in the
+// threaded loop, which retires instructions one boundary at a time and so
+// traps at precisely the right instruction. The same handoff covers
+// control falling off the end of a function (pc == size) and every
+// non-leader slot of the entry table. No state needs translating: both
+// engines push return words in decoded units, and the virtual stack is
+// materialized at every block entry.
+//
+// The fit test may run before the GC check because a passing fit implies
+// the threaded loop's fuel check passes, and collectGarbage never reads
+// Stats.Instructions. Pending GC is checked only at block entries:
+// GcPending and Halted can only be raised by allocation and syscalls, and
+// Predecode makes the successor of every such instruction a leader, so
+// the check sits at the same boundary where the threaded engine would
+// perform the collection.
 //
 // A write-through virtual operand stack keeps the top of the VM stack in
 // host registers (r8-r11, up to four deep) across instruction boundaries
@@ -49,7 +57,7 @@
 // Code layout of one compiled program:
 //
 //   [entry thunk]  [epilogue]  [gc stub]  [ok/err/halt stubs]
-//   [function 0: blocks..., fall-off trailer, trap stubs]
+//   [function 0: blocks..., handoff entries, trap stubs]
 //   [function 1: ...] ...
 //
 // Calling convention of the generated code (SysV, callee-saved pins):
@@ -60,8 +68,8 @@
 //                                r15 = fuel limit
 //
 // The entry thunk loads the pins from the six C arguments and jumps to
-// the block entry of the resume point (every externally enterable pc is a
-// leader by construction); every exit goes through the shared epilogue,
+// the entry-table slot of the resume point (every externally enterable pc
+// is a leader by construction); every exit goes through the shared epilogue,
 // which writes the retired-instruction count back into MachineStats and
 // returns a JitStatus in eax. Trap stubs additionally store the
 // (function, decoded pc) of the boundary they represent so Machine::trap
@@ -131,8 +139,8 @@ namespace {
 
 #if S1_JIT_AVAILABLE
 // Compile-time observability: shape of the block structure the compiler
-// produced. Counted once per compilation (the unbatched body is emitted
-// exactly once per block, so per-site counters hook there).
+// produced. Counted once per compilation (each block has one body, so
+// per-site counters hook there).
 S1_STAT(JitStatBlocks, "jit.blocks", "basic blocks compiled");
 S1_STAT(JitStatBlockInsns, "jit.block.insns",
         "instructions covered by compiled blocks");
@@ -768,9 +776,10 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   A.ret();
 
   // ---- shared GC stub (called from block entries when GcPending) -------
+  // r14 already holds the block's bulk charge; the collector never reads
+  // Stats.Instructions, so it is not written back here.
   const size_t GcStubOff = A.pos();
   A.subRI(4 /*rsp*/, 8);
-  A.storeQ(R14, R13, -1, 0, MO.Instr);
   A.movRR(RDI, R13);
   A.movRI(RAX, reinterpret_cast<uint64_t>(&JitAccess::gcShim));
   A.callReg(RAX);
@@ -802,8 +811,6 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
   /// StackHighWater high-water mark; SpCached says rbp == Regs[SP]
   /// (the segment base — Regs[SP] itself is not yet bumped).
   struct VCtx {
-    bool Batched = false;
-    bool BulkOps = false; // PerOpcode bumped wholesale at block entry
     int End = 0;   // one past the block's last instruction
     int Extra = 0; // fused-branch precharge riding on the bulk retire
     int Depth = 0;
@@ -828,48 +835,38 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
     // stack's deferred Regs[SP]/StackHighWater updates before exiting,
     // so trapped state is bit-identical to the threaded engine's.
     // The second key element is the trap boundary's unexecuted tail of
-    // the block (sorted original opcodes): when the batched lane bumped
-    // PerOpcode wholesale at block entry, the stub must subtract the
+    // the block (sorted original opcodes): with detailed stats the block
+    // entry bumps PerOpcode wholesale, so the stub must subtract the
     // tail's bumps back out to present threaded-exact histograms.
     using StubKey = std::pair<std::array<int32_t, 5>, std::vector<int32_t>>;
     std::map<StubKey, std::vector<size_t>> StubSites;
-    auto tailOps = [&](const VCtx &C, int Idx) {
-      std::vector<int32_t> T;
-      if (C.Batched && C.BulkOps)
+    // Jump sites of the stub that reports status St at instruction Idx
+    // of the block described by C.
+    auto stubSites = [&](JitStatus St, int PcVal, const VCtx &C,
+                         int Idx) -> std::vector<size_t> & {
+      std::vector<int32_t> Tail;
+      if (Detailed)
         for (int J = Idx + 1; J < C.End; ++J)
-          T.push_back(static_cast<int32_t>(
+          Tail.push_back(static_cast<int32_t>(
               static_cast<size_t>(DF.Code[static_cast<size_t>(J)].OrigOp)));
-      std::sort(T.begin(), T.end());
-      return T;
+      std::sort(Tail.begin(), Tail.end());
+      const int Adj = C.End - Idx - 1 + C.Extra;
+      return StubSites[{{static_cast<int32_t>(St), PcVal, Adj, C.Depth,
+                         C.Peak},
+                        std::move(Tail)}];
     };
     auto jccStubC = [&](uint8_t CC, JitStatus St, int PcVal, const VCtx &C,
                         int Idx) {
-      A.u8(0x0F);
-      A.u8(static_cast<uint8_t>(0x80 | CC));
-      int Adj = C.Batched ? C.End - Idx - 1 + C.Extra : 0;
-      StubSites[{{static_cast<int32_t>(St), PcVal, Adj, C.Depth, C.Peak},
-                 tailOps(C, Idx)}]
-          .push_back(A.pos());
-      A.u32(0);
+      stubSites(St, PcVal, C, Idx).push_back(A.jccL(CC));
     };
     auto jmpStubC = [&](JitStatus St, int PcVal, const VCtx &C, int Idx) {
-      A.u8(0xE9);
-      int Adj = C.Batched ? C.End - Idx - 1 + C.Extra : 0;
-      StubSites[{{static_cast<int32_t>(St), PcVal, Adj, C.Depth, C.Peak},
-                 tailOps(C, Idx)}]
-          .push_back(A.pos());
-      A.u32(0);
+      stubSites(St, PcVal, C, Idx).push_back(A.jmpL());
     };
     auto jmpTo = [&](int Fn, int Idx) {
-      A.u8(0xE9);
-      Fixups.push_back({A.pos(), Fn, Idx});
-      A.u32(0);
+      Fixups.push_back({A.jmpL(), Fn, Idx});
     };
     auto jccTo = [&](uint8_t CC, int Fn, int Idx) {
-      A.u8(0x0F);
-      A.u8(static_cast<uint8_t>(0x80 | CC));
-      Fixups.push_back({A.pos(), Fn, Idx});
-      A.u32(0);
+      Fixups.push_back({A.jccL(CC), Fn, Idx});
     };
 
     // addrOf(Regs[Base]) [+ Disp] into Dst.
@@ -1017,22 +1014,14 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
     };
 
     // Retire a fused branch inline. On entry the boolean RV word is live
-    // in rdi, the virtual stack is materialized, and the branch's block
-    // boundary is due: check fuel there (nothing on the fast path can
-    // raise Halted or GcPending, so those boundary checks are vacuous),
-    // retire the branch, and dispatch on the boolean directly. The
-    // standalone branch block is still emitted for other predecessors and
-    // for the slow path, which resumes at the branch's own entry.
-    auto emitBoolTail = [&](int Idx, const XInsn &Br, VCtx &C) {
+    // in rdi and the virtual stack is materialized. The block's fit test
+    // already proved fuel for the branch and bulk-retired it, and nothing
+    // on the fast path can raise Halted or GcPending, so the branch's
+    // boundary is free: dispatch on the boolean directly. The standalone
+    // branch block is still emitted for other predecessors and for the
+    // slow path, which resumes at the branch's own entry.
+    auto emitBoolTail = [&](int Idx, const XInsn &Br) {
       int Nx = Idx + 1;
-      if (C.Batched && C.Extra > 0) {
-        // Precharged lane: the block's fit test already proved fuel for
-        // the branch and bulk-retired it, so the boundary is free.
-      } else {
-        A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-        jccStubC(CC_AE, JitStatus::Fuel, Nx, C, Idx);
-        A.incR(R14);
-      }
       if (Detailed)
         A.incMemQ(R13, MO.PerOp0 +
                            8 * static_cast<int32_t>(
@@ -1044,16 +1033,11 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
     };
 
     // One instruction template, emitted inside a block body. `C` carries
-    // the virtual-stack state; instruction retirement (r14) is the block
-    // loop's job. Per-site compile statistics hook the unbatched body,
-    // which is emitted exactly once per block.
+    // the virtual-stack state; instruction retirement (r14) and the
+    // PerOpcode histogram are the block entry's job.
     auto emitInsn = [&](int Idx, VCtx &C) {
       const XInsn &I = DF.Code[static_cast<size_t>(Idx)];
       const int Next = Idx + 1;
-      if (Detailed && !C.BulkOps)
-        A.incMemQ(R13, MO.PerOp0 +
-                           8 * static_cast<int32_t>(
-                                   static_cast<size_t>(I.OrigOp)));
 
       switch (I.Op) {
       // ---- MOV family (inline, all twelve mode pairs) ------------------
@@ -1557,7 +1541,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           jmpTo(Fi, Next);
         } else if (S == Syscall::GenericCompare) {
           const XInsn *Br = fusedBranch(Idx);
-          if (Br && !C.Batched)
+          if (Br)
             ++JitStatFused;
           unsigned VA = RCX, VB = RDX;
           if (D0 >= 2) {
@@ -1594,7 +1578,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
             A.aluMemI(5, RBX, SpOff, 2);
           A.storeQ(RDI, RBX, -1, 0, static_cast<int32_t>(s1::RV) * 8);
           if (Br)
-            emitBoolTail(Idx, *Br, C);
+            emitBoolTail(Idx, *Br);
           else
             jmpTo(Fi, Next);
         } else if (S == Syscall::GenericNumPred &&
@@ -1602,7 +1586,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
                    static_cast<PredCode>(I.S2) <= PredCode::Minusp) {
           PredCode PC = static_cast<PredCode>(I.S2);
           const XInsn *Br = fusedBranch(Idx);
-          if (Br && !C.Batched)
+          if (Br)
             ++JitStatFused;
           unsigned VB = RDX;
           if (D0 >= 1) {
@@ -1654,7 +1638,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           A.cmov(CC, RDI, RSI);
           A.storeQ(RDI, RBX, -1, 0, static_cast<int32_t>(s1::RV) * 8);
           if (Br)
-            emitBoolTail(Idx, *Br, C);
+            emitBoolTail(Idx, *Br);
           else
             jmpTo(Fi, Next);
         } else if (S == Syscall::GenericUnary &&
@@ -1711,8 +1695,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           // exhaustion) happens before any mutation, so the generic route
           // re-runs the whole syscall — including the halt-on-exhaustion
           // protocol — exactly like the threaded engine.
-          if (!C.Batched)
-            ++JitStatConsSites;
+          ++JitStatConsSites;
           unsigned VCar = RSI, VCdr = RDX;
           if (D0 >= 2) {
             VCar = VRegs[D0 - 2]; // threaded pops Cdr first, then Car
@@ -1789,7 +1772,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
           A.lea(RAX, RBP, -1, 0, D0);
           A.storeQ(RAX, RBX, -1, 0, SpOff);
         }
-        if (C.Batched && C.Extra > 0)
+        if (C.Extra > 0)
           A.subRI(R14, C.Extra); // un-retire the unexecuted fused branch
         if (S == Syscall::Cons)
           A.incMemQ(R13, MO.ConsMisses);
@@ -1807,9 +1790,9 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
         bool Branches = I.Op == XOp::JmpzG || I.Op == XOp::FJmpzG;
         bool CanDiv0 = I.Op == XOp::Alu2G || I.Op == XOp::Alu3G;
         mat(C);
-        // Mid-block in the batched body, r14 has pre-retired the whole
-        // block; expose the exact per-boundary count to the C++ side.
-        int Adj = C.Batched ? C.End - Idx - 1 + C.Extra : 0;
+        // Mid-block, r14 has pre-retired the whole block; expose the
+        // exact per-boundary count to the C++ side.
+        const int Adj = C.End - Idx - 1 + C.Extra;
         if (Adj > 0) {
           A.lea(RAX, R14, -1, 0, -Adj);
           A.storeQ(RAX, R13, -1, 0, MO.Instr);
@@ -1841,17 +1824,10 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
       }
     };
 
-    // ---- block loop ----------------------------------------------------
-    // Every externally enterable pc is a leader (Predecode's invariant),
-    // so only block entries need the full boundary protocol. Non-leader
-    // boundaries get entry points in the unbatched body, which keeps the
-    // virtual stack materialized at every boundary precisely so a resume
-    // after a mid-block trap can land there with plain architectural
-    // state.
     // Does the block's terminating instruction retire a fused boolean
     // branch on its fast path? Must mirror the emitInsn fast-path
-    // conditions exactly — the batched lane precharges the branch's
-    // retirement into the block fit test.
+    // conditions exactly — the block entry precharges the branch's
+    // retirement into the fit test.
     auto blockFusesTail = [&](int Idx) {
       const XInsn &I = DF.Code[static_cast<size_t>(Idx)];
       if (I.Op != XOp::Syscall || !fusedBranch(Idx))
@@ -1863,26 +1839,20 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
               static_cast<PredCode>(I.S2) <= PredCode::Minusp);
     };
 
-    int L = 0;
-    for (;;) {
+    // Reports (this function, PcVal) and leaves through the epilogue.
+    auto exitAt = [&](int PcVal, JitStatus Status) {
+      A.storeDImm(R13, MO.CurFunc, Fi);
+      A.storeDImm(R13, MO.Pc, PcVal);
+      A.movRI(RAX, static_cast<uint64_t>(Status));
+      A.jmpFixed(EpiOff);
+    };
+
+    // ---- block loop ----------------------------------------------------
+    // Every externally enterable pc is a leader (Predecode's invariant),
+    // so only leaders get compiled entries; the other slots of the entry
+    // table are handoff stubs (below).
+    for (int L = 0; L < Size;) {
       JP->Offs[F][static_cast<size_t>(L)] = static_cast<uint32_t>(A.pos());
-      VCtx Entry; // blocks begin with the virtual stack empty
-
-      if (L == Size) {
-        // Fall-off trailer: control ran past the last real instruction.
-        // Boundary safepoint first, same order as the threaded loop.
-        A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-        jccStubC(CC_AE, JitStatus::Fuel, L, Entry, L);
-        if (GcOn) {
-          A.cmpByteMemI(R13, MO.GcPending, 0);
-          size_t Skip = A.jccL(CC_E);
-          A.callFixed(GcStubOff);
-          A.bind(Skip);
-        }
-        jmpStubC(JitStatus::PcRange, Size, Entry, L);
-        break;
-      }
-
       int E = L + 1;
       while (E < Size && !DF.Leaders[static_cast<size_t>(E)])
         ++E;
@@ -1890,23 +1860,6 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
       const bool Ends = endsControl(DF.Code[static_cast<size_t>(E - 1)].Op);
       const bool Fused = blockFusesTail(E - 1);
       const int Charge = N + (Fused ? 1 : 0);
-      // The explicit entry fuel check folds into the batched fit test
-      // when nothing sits between them: a non-fitting block falls to the
-      // unbatched lane, whose first boundary check traps with the same
-      // pc and count. With a GC schedule the pending-collection check
-      // must run between fuel check and fit test (fuel trap wins over a
-      // pending GC), so the explicit form stays.
-      const bool MergedEntry = N >= 2 && !GcOn;
-      if (!MergedEntry) {
-        A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-        jccStubC(CC_AE, JitStatus::Fuel, L, Entry, L);
-        if (GcOn) {
-          A.cmpByteMemI(R13, MO.GcPending, 0);
-          size_t Skip = A.jccL(CC_E);
-          A.callFixed(GcStubOff);
-          A.bind(Skip);
-        }
-      }
 
       ++JitStatBlocks;
       JitStatBlockInsns += static_cast<uint64_t>(N);
@@ -1919,73 +1872,61 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
         ++JitStatBlocks4;
       else
         ++JitStatBlocks8;
+      JitStatElided += static_cast<uint64_t>(Charge - 1);
 
-      if (N >= 2) {
-        JitStatElided += static_cast<uint64_t>(Charge - 1);
-        // Batched lane: bulk-retire the whole block (plus a fused
-        // branch, if the tail has one) when it fits in the remaining
-        // fuel — threaded runs all of it iff count + Charge <= limit.
-        A.addRI(R14, Charge);
-        A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-        size_t ToUnb = A.jccL(CC_A);
-        VCtx BC;
-        BC.Batched = true;
-        BC.End = E;
-        BC.Extra = Fused ? 1 : 0;
-        if (Detailed) {
-          // Bulk PerOpcode: one add per distinct opcode replaces N
-          // per-boundary bumps; trap stubs subtract the unexecuted tail
-          // back out. A fused branch is NOT included — emitBoolTail
-          // bumps it, and the generic slow route retires it at the
-          // branch's own block.
-          BC.BulkOps = true;
-          std::map<int32_t, int32_t> OpCounts;
-          for (int J = L; J < E; ++J)
-            ++OpCounts[static_cast<int32_t>(static_cast<size_t>(
-                DF.Code[static_cast<size_t>(J)].OrigOp))];
-          for (const auto &[Op, Cnt] : OpCounts) {
-            const int32_t Off = MO.PerOp0 + 8 * Op;
-            if (Cnt == 1)
-              A.incMemQ(R13, Off);
-            else
-              A.aluMemI(0, R13, Off, Cnt);
-          }
-        }
+      // Fit test: bulk-retire the whole block (plus a fused branch, if the
+      // tail has one) — the threaded loop runs all of it without a fuel
+      // trap iff count + Charge <= limit. Otherwise hand the block to the
+      // threaded loop with the charge rolled back.
+      A.addRI(R14, Charge);
+      A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
+      StubSites[{{static_cast<int32_t>(JitStatus::Handoff), L, Charge, 0, 0},
+                 {}}]
+          .push_back(A.jccL(CC_A));
+      if (GcOn) {
+        A.cmpByteMemI(R13, MO.GcPending, 0);
+        size_t Skip = A.jccL(CC_E);
+        A.callFixed(GcStubOff);
+        A.bind(Skip);
+      }
+      if (Detailed) {
+        // Bulk PerOpcode: one add per distinct opcode replaces N
+        // per-boundary bumps; trap stubs subtract the unexecuted tail
+        // back out. A fused branch is NOT included — emitBoolTail bumps
+        // it, and the generic slow route retires it at the branch's own
+        // block.
+        std::map<int32_t, int32_t> OpCounts;
         for (int J = L; J < E; ++J)
-          emitInsn(J, BC);
-        if (!Ends) {
-          mat(BC);
-          jmpTo(Fi, E);
+          ++OpCounts[static_cast<int32_t>(static_cast<size_t>(
+              DF.Code[static_cast<size_t>(J)].OrigOp))];
+        for (const auto &[Op, Cnt] : OpCounts) {
+          const int32_t Off = MO.PerOp0 + 8 * Op;
+          if (Cnt == 1)
+            A.incMemQ(R13, Off);
+          else
+            A.aluMemI(0, R13, Off, Cnt);
         }
-        A.bind(ToUnb);
-        A.subRI(R14, Charge); // roll back the failed bulk charge
       }
-
-      // Unbatched lane: taken only when fuel runs out inside the block
-      // (or for single-instruction blocks). Materializes at every
-      // boundary so each one is a valid external entry point and fuel
-      // exhaustion lands with exact counters and stack state.
-      VCtx UC;
-      UC.End = E;
-      for (int J = L; J < E; ++J) {
-        if (J > L) {
-          mat(UC);
-          JP->Offs[F][static_cast<size_t>(J)] =
-              static_cast<uint32_t>(A.pos());
-        }
-        if (J > L || MergedEntry) {
-          A.opRR(true, {0x3B}, R14, R15); // cmp r14, r15
-          jccStubC(CC_AE, JitStatus::Fuel, J, UC, J);
-        }
-        A.incR(R14); // ++Stats.Instructions
-        emitInsn(J, UC);
-      }
+      VCtx C; // blocks begin with the virtual stack empty
+      C.End = E;
+      C.Extra = Fused ? 1 : 0;
+      for (int J = L; J < E; ++J)
+        emitInsn(J, C);
       if (!Ends) {
-        mat(UC);
+        mat(C);
         jmpTo(Fi, E);
       }
-
       L = E;
+    }
+
+    // Handoff entries: control falling off the end (pc == Size) and any
+    // entry at a non-leader continue in the threaded loop at that pc,
+    // which applies the boundary checks in its own order.
+    for (int J = 0; J <= Size; ++J) {
+      if (J < Size && DF.Leaders[static_cast<size_t>(J)])
+        continue;
+      JP->Offs[F][static_cast<size_t>(J)] = static_cast<uint32_t>(A.pos());
+      exitAt(J, JitStatus::Handoff);
     }
 
     // -- trap stubs for this function: roll back the bulk-retired tail,
@@ -2024,10 +1965,7 @@ JitAccess::compile(std::shared_ptr<const DecodedProgram> DP,
             A.storeQ(RAX, RBX, -1, 0, SpOff);
           }
         }
-        A.storeDImm(R13, MO.CurFunc, static_cast<int32_t>(F));
-        A.storeDImm(R13, MO.Pc, PcVal);
-        A.movRI(RAX, static_cast<uint64_t>(Status));
-        A.jmpFixed(EpiOff);
+        exitAt(PcVal, Status);
       };
       if (St == static_cast<int32_t>(PushColdStatus)) {
         // Combined push guard: reconstruct the faulting Sp slot (rbp

@@ -13,23 +13,26 @@
 ///
 /// Block-scoped optimizations (details atop vm/Jit.cpp):
 ///
-///  * safepoint batching — the per-instruction fuel/GC/counter work is
-///    hoisted into one bulk check at block entry; an unbatched fallback
-///    body and exact-state trap stubs keep every trap message, pc, and
-///    MachineStats counter byte-identical to the threaded engine;
+///  * safepoint batching — each block has one body, and the
+///    per-instruction fuel/GC/counter work is hoisted into one bulk fit
+///    test at its entry; exact-state trap stubs keep every trap message,
+///    pc, and MachineStats counter byte-identical to the threaded engine;
 ///  * a write-through virtual operand stack — the top of the VM stack
 ///    rides in host registers across instruction boundaries, with
 ///    Regs[SP]/StackHighWater updates deferred to block exits and shims;
 ///  * compare+branch fusion — GenericCompare/GenericNumPred feeding
 ///    `JmpzRK RV,0` retire as a single test+jcc pair.
 ///
-/// Boundary safepoints reproduce the threaded loop's trap ordering
-/// bit-exactly: fuel first, then the pending-GC check (compiled out when
-/// no GC schedule is set — GcPending can only be raised by the allocator,
-/// and allocating instructions always terminate a block). The threaded
-/// engine therefore remains a differential oracle for the native tier:
-/// values, error classes, and every architectural MachineStats counter
-/// must match bit-identically.
+/// A block that does not fit in the remaining fuel, control falling off
+/// the end of a function, and an entry at a non-leader pc all exit with
+/// JitStatus::Handoff; Machine::runNative then finishes the call in the
+/// threaded loop, whose per-boundary checks land a fuel trap on the exact
+/// instruction. The pending-GC check follows a passing fit test (compiled
+/// out when no GC schedule is set — GcPending can only be raised by the
+/// allocator, and allocating instructions always terminate a block). The
+/// threaded engine therefore remains a differential oracle for the native
+/// tier: values, error classes, and every architectural MachineStats
+/// counter must match bit-identically.
 ///
 /// Buffer lifecycle: code is emitted into ordinary memory, then copied
 /// into a fresh anonymous mmap that is made PROT_READ|PROT_EXEC (never
@@ -69,13 +72,12 @@ struct JitOptions {
 /// produced at the same instruction boundary.
 enum class JitStatus : int {
   Ok = 0,      ///< RET popped the host sentinel
-  Fuel,        ///< Stats.Instructions reached the fuel limit
+  Handoff,     ///< continue in the threaded loop at (CurFunc, Pc)
   HaltedMem,   ///< memory fault / halted flag observed at a boundary
   StackOv,     ///< PUSH/CALL stack-overflow guard
   Div0,        ///< integer division by zero
   SyscallErr,  ///< doSyscall trapped; Machine::NativeError holds the text
   Halt,        ///< HALT retired
-  PcRange,     ///< control fell off the end of a function
   TailOv,      ///< tail call passes more arguments than the frame holds
   HeapExh,     ///< ALLOC exhausted the word heap
   NotFunc,     ///< CALLPTR/TAILCALLPTR through a non-Function word
@@ -101,7 +103,7 @@ public:
   bool builtFrom(const DecodedProgram *P) const { return DP.get() == P; }
 
   /// Native address of decoded instruction \p Pc of function \p Func
-  /// (Pc == code size resolves to the pc-out-of-range trailer).
+  /// (a non-leader Pc, or Pc == code size, resolves to a handoff stub).
   const void *addr(int Func, int Pc) const;
 
   /// Runs generated code starting at \p Start; returns a JitStatus value.
@@ -119,8 +121,8 @@ private:
   size_t EntryOff = 0;
   bool DetailedOn = true;
   bool GcOn = false;
-  /// Per function, per decoded index (plus the fall-off trailer), the
-  /// byte offset of that instruction's template.
+  /// Per function, per decoded index (plus pc == code size), the byte
+  /// offset of that pc's block entry or handoff stub.
   std::vector<std::vector<uint32_t>> Offs;
   /// Materialized address tables, indexed by the emitted code for RET and
   /// indirect calls: FuncTable[f][pc] -> native address.

@@ -533,8 +533,11 @@ bool Machine::runNative(std::string &Error) {
     CurFunc = -1; // back to host
     Pc = 0;
     return true;
-  case JitStatus::Fuel:
-    return trap(Error, "instruction fuel exhausted");
+  case JitStatus::Handoff:
+    // A block that does not fit in the remaining fuel, or a pc with no
+    // compiled entry: the threaded loop finishes the call from the same
+    // architectural state.
+    return DetailedStats ? runThreaded<true>(Error) : runThreaded<false>(Error);
   case JitStatus::HaltedMem:
     return trap(Error,
                 "machine halted unexpectedly (memory fault or heap full)");
@@ -549,8 +552,6 @@ bool Machine::runNative(std::string &Error) {
     return false;
   case JitStatus::Halt:
     return trap(Error, "HALT executed");
-  case JitStatus::PcRange:
-    return trap(Error, "pc out of range");
   case JitStatus::TailOv:
     return trap(Error, "tail call passes more arguments than the frame holds");
   case JitStatus::HeapExh:
@@ -1019,7 +1020,10 @@ template <bool Detailed> bool Machine::runThreaded(std::string &Error) {
     if (GcPending)
       collectGarbage();
     if (LPc < 0 || LPc >= Size) {
-      Pc = LPc;
+      // The legacy engine skips trailing LABELs before its range check, so
+      // it reports the pc past them; trap() shows any pc beyond the
+      // decoded code as the end of the original code.
+      Pc = LPc < 0 ? LPc : Size + 1;
       return trap(Error, "pc out of range");
     }
     I = &Code[LPc++];

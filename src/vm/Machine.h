@@ -108,7 +108,7 @@ struct MachineStats {
 enum class Engine : uint8_t {
   Legacy,   ///< interpretive switch over s1::Instruction
   Threaded, ///< pre-decoded fused handlers (computed goto / dense switch)
-  Native,   ///< template-JIT over the XInsn stream (x86-64 only; falls
+  Native,   ///< block compiler over the XInsn stream (x86-64 only; falls
             ///< back to Threaded elsewhere, see vm/Jit.h)
 };
 

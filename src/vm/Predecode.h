@@ -109,7 +109,7 @@ struct DecodedFunction {
   /// report pcs in assembly-listing units.
   std::vector<int32_t> OrigPc;
   /// Basic-block leader flags, one per decoded instruction plus one for
-  /// the fall-off trailer slot. Leaders[I] is set when decoded index I
+  /// pc == size (control falling off the end). Leaders[I] is set when decoded index I
   /// starts a basic block: function entry, branch or catch-handler
   /// target, or the fall-through successor of any control transfer
   /// (branch, call, tail call, return, syscall) or allocation. Every pc a

@@ -1,8 +1,8 @@
 //===- tests/ir/NodeArenaTest.cpp -----------------------------------------===//
 //
 // The bump arena backing IR nodes: allocation/destruction bookkeeping,
-// move semantics, the process-wide heap-fallback switch the throughput
-// bench flips, and Function::reclaim compaction preserving tree identity.
+// move semantics, and Function::reclaim compaction preserving tree
+// identity.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,21 +66,6 @@ TEST(NodeArena, SpansChunkBoundaries) {
     P->Bytes[sizeof(P->Bytes) - 1] = 'y';
   }
   EXPECT_EQ(A.size(), 20u);
-}
-
-TEST(NodeArena, HeapFallbackKeepsBookkeeping) {
-  ASSERT_TRUE(NodeArena::bumpEnabled());
-  NodeArena::setBumpEnabled(false);
-  {
-    NodeArena A;
-    for (int I = 0; I < 10; ++I)
-      A.create<Counting>();
-    EXPECT_EQ(Counting::Live, 10);
-    EXPECT_EQ(A.size(), 10u);
-    EXPECT_GE(A.allocatedBytes(), 10 * sizeof(Counting));
-  }
-  EXPECT_EQ(Counting::Live, 0);
-  NodeArena::setBumpEnabled(true);
 }
 
 TEST(NodeArena, ReclaimPreservesFunction) {

@@ -1,7 +1,7 @@
 //===- tests/vm/EngineEquivalenceTest.cpp ---------------------------------===//
 //
 // The three dispatch engines — the legacy per-step switch, the pre-decoded
-// threaded loop, and the native template-JIT — must be observably
+// threaded loop, and the native block compiler — must be observably
 // indistinguishable: same printed values, same error classes, and
 // bit-identical MachineStats (including the per-opcode histogram, which is
 // why the legacy engine may not retire LABEL pseudo-ops). A block of fuzz

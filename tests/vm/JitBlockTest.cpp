@@ -8,9 +8,11 @@
 //  * safepoint batching — fuel exhaustion is forced at EVERY instruction
 //    offset of a synthetic multi-instruction block, so the bulk
 //    fuel-charge, the fused-branch precharge, the bulk PerOpcode bump,
-//    and the trap stubs' exact-state rollback are each observed mid-block
-//    (trap message and every MachineStats counter must match threaded
-//    byte-for-byte / bit-for-bit);
+//    and the handoff of a block that does not fit to the threaded loop
+//    are each observed mid-block (trap message and every MachineStats
+//    counter must match threaded byte-for-byte / bit-for-bit);
+//  * control falling off the end of a hand-assembled function (the
+//    pc == size handoff), swept over fuel on all three engines;
 //  * the inlined cons fast path under forced collections, cross-checked
 //    against the interpreter with its after-every-GC heap verifier on
 //    (the library behind --gc-verify);
@@ -191,10 +193,100 @@ TEST(JitBlock, FuelTrapAtEveryOffsetSlim) {
 }
 
 TEST(JitBlock, FuelTrapAtEveryOffsetUnderGc) {
-  // With a schedule set the batched lane is compiled differently (entry
-  // GC check kept, fuel check not merged into the fit test) — sweep that
-  // shape too.
+  // With a schedule set every block entry also checks for a pending
+  // collection after the fit test, and a block that does not fit hands
+  // off to the threaded loop with the collection still pending — sweep
+  // that shape too.
   fuelSweep(/*Detailed=*/true, /*GcEvery=*/1);
+}
+
+//===----------------------------------------------------------------------===//
+// Falling off the end of a function.
+//
+// No compiler output reaches pc == size, so the function is assembled by
+// hand: a consing loop, then either a branch to a label at the very end
+// (no arguments) or a straight-line block that runs past the last
+// instruction (one argument). Every engine must raise "pc out of range"
+// at the same boundary, after the same pending collection, and a fuel
+// sweep over the whole run must trap identically at every offset.
+//===----------------------------------------------------------------------===//
+
+s1::Program fallOffProgram() {
+  using namespace s1;
+  AsmFunction F;
+  F.Name = "falloff";
+  auto E = [&F](Opcode Op, Operand A = {}, Operand B = {}, Operand X = {},
+                Cond C = Cond::EQ) {
+    Instruction I;
+    I.Op = Op;
+    I.C = C;
+    I.A = A;
+    I.B = B;
+    I.X = X;
+    F.emit(I);
+  };
+  const uint8_t Counter = 10, Scratch = 11;
+  int Top = F.newLabel(), End = F.newLabel();
+  E(Opcode::MOV, Operand::reg(Counter), Operand::imm(3));
+  F.placeLabel(Top);
+  E(Opcode::PUSH, Operand::imm(static_cast<int64_t>(makeFixnum(7))));
+  E(Opcode::PUSH, Operand::reg(RV));
+  E(Opcode::SYSCALL, Operand::imm(static_cast<int64_t>(Syscall::Cons)),
+    Operand::imm(0), Operand::imm(0));
+  E(Opcode::SUB, Operand::reg(Counter), Operand::imm(1));
+  E(Opcode::JMPZ, Operand::reg(Counter), Operand::imm(0), Operand::label(Top),
+    Cond::GT);
+  E(Opcode::JMPZ, Operand::reg(RTA), Operand::imm(0), Operand::label(End),
+    Cond::EQ);
+  E(Opcode::MOV, Operand::reg(Scratch), Operand::reg(RV));
+  E(Opcode::ADD, Operand::reg(Scratch), Operand::imm(1));
+  E(Opcode::PUSH, Operand::reg(Scratch));
+  E(Opcode::POP, Operand::reg(Scratch));
+  F.placeLabel(End);
+  std::string Error;
+  EXPECT_TRUE(F.finalize(Error)) << Error;
+  s1::Program P;
+  P.Functions.push_back(std::move(F));
+  return P;
+}
+
+TEST(JitBlock, FallOffEndAgreesAtEveryFuel) {
+  s1::Program P = fallOffProgram();
+  ir::Module M; // symbol table and data heap for the machines
+  std::vector<vm::Engine> Others = {vm::Engine::Legacy};
+  if (vm::jitAvailable())
+    Others.push_back(vm::Engine::Native);
+  for (const std::vector<Value> &Args :
+       {std::vector<Value>{}, std::vector<Value>{Value::fixnum(5)}})
+    for (bool Detailed : {true, false})
+      for (uint64_t GcEvery : {0, 1}) {
+        EngineRun Full = runOn(P, M, "falloff", Args, vm::Engine::Threaded,
+                               10'000, Detailed, GcEvery);
+        ASSERT_FALSE(Full.Ok);
+        ASSERT_EQ(Full.Text.find("pc out of range"), 0u) << Full.Text;
+        if (GcEvery) {
+          EXPECT_GT(Full.Stats.GcRuns, 0u);
+        }
+        uint64_t Total = Full.Stats.Instructions;
+        for (uint64_t Fuel = 1; Fuel <= Total + 1; ++Fuel) {
+          EngineRun T = runOn(P, M, "falloff", Args, vm::Engine::Threaded,
+                              Fuel, Detailed, GcEvery);
+          EXPECT_EQ(T.Text.find(Fuel <= Total ? "instruction fuel exhausted"
+                                              : "pc out of range"),
+                    0u)
+              << "fuel=" << Fuel << ": " << T.Text;
+          for (vm::Engine Eng : Others) {
+            EngineRun O = runOn(P, M, "falloff", Args, Eng, Fuel, Detailed,
+                                GcEvery);
+            const char *Name = vm::engineName(Eng);
+            EXPECT_FALSE(O.Ok) << Name;
+            EXPECT_EQ(T.Text, O.Text) << Name << " fuel=" << Fuel;
+            EXPECT_EQ(diffStats(T.Stats, O.Stats, "threaded", Name), "")
+                << "args=" << Args.size() << " fuel=" << Fuel
+                << " detailed=" << Detailed << " gc-every=" << GcEvery;
+          }
+        }
+      }
 }
 
 //===----------------------------------------------------------------------===//

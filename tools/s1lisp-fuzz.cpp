@@ -56,7 +56,7 @@ const char *UsageText =
     "  --jobs=N            worker threads fanning out over the ablation\n"
     "                      matrix (default 1 = serial)\n"
     "  --engine=E          simulator dispatch engine for the compiled side:\n"
-    "                      \"threaded\" (default), \"native\" (template JIT;\n"
+    "                      \"threaded\" (default), \"native\" (block compiler;\n"
     "                      x86-64 only, falls back to threaded elsewhere)\n"
     "                      or \"legacy\"\n"
     "  --gc-every=N        force both sides to collect their runtime heaps\n"

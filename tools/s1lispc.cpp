@@ -42,9 +42,9 @@ const char *UsageText =
     "  --interp[=ENTRY]    evaluate ENTRY with the tree-walking interpreter\n"
     "                      instead (the semantic oracle)\n"
     "  --engine=E          simulator dispatch engine: \"threaded\" (pre-decoded\n"
-    "                      direct-threaded loop, default), \"native\" (template\n"
-    "                      JIT over the pre-decoded stream; x86-64 only, falls\n"
-    "                      back to threaded elsewhere) or \"legacy\" (the\n"
+    "                      direct-threaded loop, default), \"native\" (block\n"
+    "                      compiler over the pre-decoded stream; x86-64 only,\n"
+    "                      falls back to threaded elsewhere) or \"legacy\" (the\n"
     "                      original per-step switch)\n"
     "  --listing           print the generated assembly (Table 4 style)\n"
     "  --server=SOCKET     submit the compile to a running s1lispd at the\n"
