@@ -9,6 +9,10 @@
 #include "sexpr/Printer.h"
 #include "stats/Stats.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+
 using namespace s1lisp;
 using namespace s1lisp::opt;
 using namespace s1lisp::ir;
@@ -123,13 +127,12 @@ bool isFirstEvaluated(Node *Root, const Node *Target) {
 class MetaEvaluator {
 public:
   MetaEvaluator(Function &F, const OptOptions &Opts, stats::RemarkStream *Log)
-      : F(F), Opts(Opts), Log(Log) {}
+      : F(F), Opts(Opts), Log(Log),
+        Verify(Opts.IncrementalAnalysis &&
+               (Opts.VerifyAnalysis || analysis::verifyAnalysisRequested())) {}
 
   unsigned run() {
     unsigned Total = 0;
-    const bool Verify =
-        Opts.IncrementalAnalysis &&
-        (Opts.VerifyAnalysis || analysis::verifyAnalysisRequested());
     for (unsigned Pass = 0; Pass < Opts.MaxPasses; ++Pass) {
       ++NumPasses;
       Changed = false;
@@ -173,6 +176,7 @@ private:
   Function &F;
   const OptOptions &Opts;
   stats::RemarkStream *Log;
+  const bool Verify;
   bool Changed = false;
   unsigned PassRewrites = 0;
 
@@ -192,28 +196,46 @@ private:
 
   std::string render(Node *N) { return backTranslateToString(F, N); }
 
-  /// Applies \p Rule named \p Name; on success logs the rewrite and dirties
-  /// the spine above the result. The replacement's parent chain still runs
+  struct NamedRule {
+    const char *Name;
+    Node *(MetaEvaluator::*Fn)(Node *);
+    bool Enabled;
+  };
+
+  /// Applies \p Rule to \p N; on success logs the rewrite and dirties the
+  /// spine above the result. The replacement's parent chain still runs
   /// through the node it came out of (an extracted subtree) or is empty (a
   /// fresh node, whose attachment point replaceChild dirties), so walking
   /// it marks the real spine; rules that mutate *interior* nodes directly
   /// dirty those themselves.
-  template <typename RuleFn>
-  Node *apply(const char *Name, Node *N, RuleFn Rule) {
-    std::string Before = Log ? render(N) : std::string();
-    Node *R = Rule(N);
-    if (!R)
+  ///
+  /// With a log attached, \p Before holds N's rendering, made on the first
+  /// rule tried and shared by the later ones: a rule that returns null has
+  /// left the tree untouched. Verify mode re-renders to check that.
+  Node *apply(const NamedRule &Rule, Node *N,
+              std::optional<std::string> &Before) {
+    if (Log && !Before)
+      Before = render(N);
+    Node *R = (this->*(Rule.Fn))(N);
+    if (!R) {
+      if (Log && Verify && render(N) != *Before) {
+        fprintf(stderr,
+                "S1LISP_VERIFY_ANALYSIS: %s returned null but changed its "
+                "form in '%s'\n",
+                Rule.Name, F.name().c_str());
+        abort();
+      }
       return nullptr;
+    }
     Changed = true;
     ++PassRewrites;
     dirtySpine(R);
-    if (Log && LastDetail.empty())
-      log(Name, Before, render(R));
-    else if (Log)
-      log(Name, Before, render(R), LastDetail);
+    if (Log)
+      log(Rule.Name, *Before, render(R), std::move(LastDetail));
     LastDetail.clear();
     return R;
   }
+  /// Detail text of the last successful rule; only filled when logging.
   std::string LastDetail;
 
   /// Effect/complexity queries for the rules: cached-incremental when the
@@ -244,11 +266,6 @@ private:
     bool Any = true;
     while (Any) {
       Any = false;
-      struct NamedRule {
-        const char *Name;
-        Node *(MetaEvaluator::*Fn)(Node *);
-        bool Enabled;
-      };
       const NamedRule Rules[] = {
           {"META-COMPILE-TIME-EVAL", &MetaEvaluator::tryConstantFold,
            Opts.ConstantFold},
@@ -274,12 +291,12 @@ private:
            Opts.Substitute},
           {"META-SUBSTITUTE", &MetaEvaluator::trySubstitute, Opts.Substitute},
       };
+      // Shared by the rules of this round; a rule that applies ends it.
+      std::optional<std::string> Before;
       for (const NamedRule &R : Rules) {
         if (!R.Enabled)
           continue;
-        if (Node *New = apply(R.Name, N, [this, &R](Node *M) {
-              return (this->*(R.Fn))(M);
-            })) {
+        if (Node *New = apply(R, N, Before)) {
           N = New;
           Any = true;
           break;
@@ -301,6 +318,9 @@ private:
 
   //===--------------------------------------------------------------------===//
   // Rules (each returns the replacement node, or null when inapplicable)
+  //
+  // A rule that returns null must leave the tree untouched; apply() relies
+  // on it and checks it in verify mode.
   //===--------------------------------------------------------------------===//
 
   /// ((lambda () body)) => body  — the first beta rule of §5.
@@ -396,9 +416,10 @@ private:
       V->Written = false;
       L->Required.erase(L->Required.begin() + J);
       C->Args.erase(C->Args.begin() + J);
-      LastDetail = std::to_string(Refs.size()) + " substitution" +
-                   (Refs.size() == 1 ? "" : "s") + " for the variable " +
-                   V->name()->name() + " by " + render(Arg);
+      if (Log)
+        LastDetail = std::to_string(Refs.size()) + " substitution" +
+                     (Refs.size() == 1 ? "" : "s") + " for the variable " +
+                     V->name()->name() + " by " + render(Arg);
       return N;
     }
     return nullptr;

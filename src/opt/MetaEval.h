@@ -15,6 +15,10 @@
 ///   ;**** to be this form: (+$f (+$f c b) a)
 ///   ;**** courtesy of META-EVALUATE-ASSOC-COMMUT-CALL
 ///
+/// Without a log nothing is rendered. With one, a node's "Optimizing this
+/// form" text is rendered once per round of rules tried on it and shared
+/// by all of them; "to be this form" is rendered only when a rule applies.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef S1LISP_OPT_METAEVAL_H
@@ -48,7 +52,8 @@ struct OptOptions {
   bool IncrementalAnalysis = true;
   /// Cross-check the incremental caches against a full recompute after
   /// every pass; also enabled by the S1LISP_VERIFY_ANALYSIS environment
-  /// variable. Divergence aborts.
+  /// variable. With a remark log, also check after every rule that did not
+  /// apply that its form is unchanged. Divergence aborts.
   bool VerifyAnalysis = false;
   /// Test-only fault injection: folded constant fixnum additions come out
   /// off by one. Exists so the differential fuzzer's delta-debugging

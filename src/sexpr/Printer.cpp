@@ -26,7 +26,10 @@ std::string sexpr::formatFlonum(double D) {
 
 namespace {
 
-void printTo(std::string &Out, Value V) {
+/// Appends the flat print of \p V to \p Out. Once Out grows past \p Limit
+/// characters the print may stop early, leaving a prefix longer than Limit;
+/// otherwise it is complete.
+void printTo(std::string &Out, Value V, size_t Limit = std::string::npos) {
   switch (V.kind()) {
   case ValueKind::Nil:
     Out += "nil";
@@ -59,16 +62,18 @@ void printTo(std::string &Out, Value V) {
     Out += '(';
     Value Cur = V;
     bool First = true;
-    while (Cur.isCons()) {
+    while (Cur.isCons() && Out.size() <= Limit) {
       if (!First)
         Out += ' ';
       First = false;
-      printTo(Out, Cur.car());
+      printTo(Out, Cur.car(), Limit);
       Cur = Cur.cdr();
     }
+    if (Out.size() > Limit)
+      return;
     if (!Cur.isNil()) {
       Out += " . ";
-      printTo(Out, Cur);
+      printTo(Out, Cur, Limit);
     }
     Out += ')';
     return;
@@ -77,10 +82,19 @@ void printTo(std::string &Out, Value V) {
 }
 
 void prettyTo(std::string &Out, Value V, unsigned Indent, unsigned WrapColumn) {
-  std::string Flat = sexpr::toString(V);
-  if (Flat.size() + Indent <= WrapColumn || V.isAtom()) {
-    Out += Flat;
+  // Print flat when that fits. The trial print stops once it is too wide,
+  // so each level costs at most the wrap column, not its whole subtree.
+  const size_t Start = Out.size();
+  if (V.isAtom()) {
+    printTo(Out, V);
     return;
+  }
+  if (Indent <= WrapColumn) {
+    const size_t Limit = Start + (WrapColumn - Indent);
+    printTo(Out, V, Limit);
+    if (Out.size() <= Limit)
+      return;
+    Out.resize(Start);
   }
   // Print "(head item...)" with items aligned under the head when the flat
   // form is too wide.

@@ -5,7 +5,8 @@
 //
 //  * VerifyAnalysis cross-checks the dirty-spine caches (referent lists,
 //    effects, complexity) against a full recompute after every optimizer
-//    pass, aborting on divergence;
+//    pass, and each remark's shared "Before" text against the form after
+//    every rule that did not apply, aborting on divergence;
 //  * independently, both analysis modes must reach the same optimized
 //    tree, checked through the back-translator.
 //
@@ -49,14 +50,17 @@ TEST_P(IncrementalAnalysis, MatchesFullRecomputeOnFuzzPrograms) {
         << "seed " << Seed << ": " << Diags.str();
 
     // Run 1: incremental caches, with the after-every-pass cross-check on.
-    // A stale referent list / cached effect aborts inside the optimizer.
+    // A stale referent list / cached effect aborts inside the optimizer, as
+    // does a rule that returns null after changing the form (checked only
+    // while remarks are being recorded).
     ir::Module Incr;
     Base.clone(Incr);
     opt::OptOptions Checked;
     Checked.VerifyAnalysis = true;
+    stats::RemarkStream Remarks;
     for (auto &F : Incr.functions()) {
-      opt::metaEvaluate(*F, Checked, nullptr);
-      opt::eliminateCommonSubexpressions(*F, {}, nullptr);
+      opt::metaEvaluate(*F, Checked, &Remarks);
+      opt::eliminateCommonSubexpressions(*F, {}, &Remarks);
     }
 
     // Run 2: the baseline that recomputes analysis every pass. Both modes
